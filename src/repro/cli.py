@@ -53,12 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="host execution backend (default: $REPRO_BACKEND or serial)",
     )
     parser.add_argument(
-        "--kernel", choices=("scalar", "vectorized"), default=None,
-        help="short-range kernel implementation: 'scalar' is the "
-        "bit-identity reference, 'vectorized' the batched fast path "
-        "(default: $REPRO_KERNEL or scalar)",
-    )
-    parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="pool worker count (default: $REPRO_WORKERS or host CPUs)",
     )
@@ -452,15 +446,13 @@ def _cmd_run(args) -> int:
         system, nb = build_scenario(spec)
         minimize(system, MdConfig(nonbonded=nb), n_steps=60)
         system.thermalize(spec.temp, np.random.default_rng(spec.seed + 1))
-        overrides = dict(
+        config = engine_config_for(
+            spec,
             report_interval=max(args.steps // 10, 1),
             resilience=policy,
             backend=args.backend,
             workers=args.workers,
         )
-        if args.kernel is not None:
-            overrides["kernel_impl"] = args.kernel
-        config = engine_config_for(spec, **overrides)
     else:
         nb = NonbondedParams(
             r_cut=args.rcut, r_list=args.rcut + 0.1, coulomb_mode="rf"
@@ -475,7 +467,6 @@ def _cmd_run(args) -> int:
             resilience=policy,
             backend=args.backend,
             workers=args.workers,
-            kernel_impl=args.kernel,
         )
     engine = SWGromacsEngine(system, config)
     if args.restart:
@@ -528,7 +519,6 @@ def _cmd_trace(args) -> int:
         resilience=ResiliencePolicy(faults=args.faults),
         backend=args.backend,
         workers=args.workers,
-        kernel_impl=args.kernel,
     )
     tracer = Tracer(config.chip)
     engine = SWGromacsEngine(system, config, tracer=tracer)
@@ -659,7 +649,6 @@ def _cmd_ranks(args) -> int:
         resilience=ResiliencePolicy(faults=args.faults),
         backend=args.backend,
         workers=args.workers,
-        kernel_impl=args.kernel,
     )
     result = run_mpi_ranks(
         system,

@@ -32,7 +32,6 @@ from repro.core.kernels import (
 )
 from repro.core.pairlist_cpe import cache_study, search_kernel_seconds, search_trace
 from repro.core.stepcache import NullStepCache, StepCache
-from repro.core.vectorized import resolve_kernel_impl
 from repro.hw.dma import DmaEngine
 from repro.hw.params import ChipParams, DEFAULT_PARAMS
 from repro.hw.perf import KernelTiming
@@ -126,11 +125,6 @@ class EngineConfig:
     #: Worker count for the pool backend (None = ``REPRO_WORKERS`` or
     #: host CPU count).
     workers: int | None = None
-    #: Force-kernel implementation: "scalar" (reference loop) or
-    #: "vectorized" (batched panels, `repro.core.vectorized`); None
-    #: resolves ``REPRO_KERNEL``-or-scalar.  Bit-identical results —
-    #: only speed differs.
-    kernel_impl: str | None = None
     #: Constraint solver (GROMACS' ``constraint-algorithm``): "auto"
     #: (SETTLE for pure water, SHAKE otherwise), "settle", "lincs", or
     #: "shake".  Scenario specs (DESIGN.md §15) select this per run.
@@ -232,9 +226,6 @@ class SWGromacsEngine:
         #: Execution backend for fan-out work (process-wide shared
         #: instance when selected by name/env; never closed here).
         self.backend = shared_backend(self.config.backend, self.config.workers)
-        #: Resolved force-kernel implementation for the whole run (env
-        #: lookup happens once, here — not per step).
-        self.kernel_impl = resolve_kernel_impl(self.config.kernel_impl)
         self.pairlist = None
         self._cached_force_model: KernelResult | None = None
         self._cached_ns_seconds: float | None = None
@@ -415,7 +406,6 @@ class SWGromacsEngine:
             tracer=self.tracer,
             cache=self.stepcache,
             backend=self.backend,
-            impl=self.kernel_impl,
         )
         self._cached_ns_seconds = self._ns_seconds(chip)
         self._add(timing, KERNEL_NEIGHBOR, self._cached_ns_seconds)
@@ -591,8 +581,7 @@ class SWGromacsEngine:
             # evaluated these exact forces — the step cache hands the
             # shared result back instead of recomputing it.
             sr = self.stepcache.short_range(
-                self.system, self.pairlist, cfg.nonbonded, dtype=np.float32,
-                impl=self.kernel_impl,
+                self.system, self.pairlist, cfg.nonbonded, dtype=np.float32
             )
             self._add(timing, KERNEL_FORCE, self._cached_force_model.elapsed_seconds)
             if self._fault_dma is not None:

@@ -192,15 +192,9 @@ def run_kernel(
     tracer: NullTracer = NULL_TRACER,
     cache: StepCache | NullStepCache | None = None,
     backend: ExecutionBackend | None = None,
-    impl: str | None = None,
 ) -> KernelResult:
     """Execute one strategy (fast path): vectorised functional forces +
     trace-driven cost model.
-
-    ``impl`` picks the functional force evaluation (scalar reference vs
-    the panel-fed batch in `repro.core.vectorized`; None resolves
-    ``REPRO_KERNEL``-or-scalar).  Results are bit-identical either way —
-    the cost model never sees the difference.
 
     ``backend`` (DESIGN.md §9) fans the per-CPE trace analyses across
     worker processes by priming ``cache`` before the serial accumulation
@@ -239,9 +233,7 @@ def run_kernel(
         system, plist, Layout.SOA if spec.simd else Layout.AOS, params
     )
 
-    sr = cache.short_range(
-        system, work_list, nb_params, dtype=np.float32, impl=impl
-    )
+    sr = cache.short_range(system, work_list, nb_params, dtype=np.float32)
     m_pairs = work_list.n_cluster_pairs
     tile_pairs = 16 * m_pairs
     breakdown: dict[str, float] = {}
@@ -525,7 +517,6 @@ def run_strategy_sweep(
     tracer: NullTracer = NULL_TRACER,
     cache: StepCache | NullStepCache | None = None,
     backend: str | ExecutionBackend | None = None,
-    impl: str | None = None,
 ) -> dict[str, KernelResult]:
     """Evaluate many strategy rungs against ONE ``(system state, pair
     list)`` — the one-pass ablation API used by bench_fig8/fig9, the
@@ -565,7 +556,6 @@ def run_strategy_sweep(
             tracer=tracer,
             cache=cache,
             backend=backend,
-            impl=impl,
         )
         for spec in resolved
     }
@@ -606,7 +596,6 @@ class _FidelityTask:
     params: ChipParams
     padded_slots: int
     traced: bool
-    impl: str = "scalar"
 
 
 @dataclass
@@ -628,8 +617,10 @@ class _FidelityResult:
 def _walk_fidelity_partition(task: _FidelityTask) -> _FidelityResult:
     """Walk one CPE partition through the real cache/bitmap/SIMD objects.
 
-    Pure function of the task (no globals, no RNG), so serial and pool
-    backends produce bit-identical results by construction.
+    The scalar reference for the production walk
+    (`repro.core.vectorized.walk_fidelity_partition_vectorized`), which
+    the tests pin to it bit for bit.  Pure function of the task (no
+    globals, no RNG).
     """
     spec, params, nb_params = task.spec, task.params, task.nb_params
     pos = as_input(task.positions)
@@ -718,19 +709,6 @@ def _walk_fidelity_partition(task: _FidelityTask) -> _FidelityResult:
     )
 
 
-def _walk_fidelity(task: _FidelityTask) -> _FidelityResult:
-    """Backend entry point: dispatch one partition to the selected impl.
-
-    Module-level (picklable) so pool workers can receive it; the impl
-    name travels inside the task, keeping the map call uniform.
-    """
-    if task.impl == "vectorized":
-        from repro.core.vectorized import walk_fidelity_partition_vectorized
-
-        return walk_fidelity_partition_vectorized(task)
-    return _walk_fidelity_partition(task)
-
-
 def run_kernel_sequential(
     system: ParticleSystem,
     plist: ClusterPairList,
@@ -740,37 +718,30 @@ def run_kernel_sequential(
     n_cpes: int | None = None,
     tracer: NullTracer = NULL_TRACER,
     backend: str | ExecutionBackend | None = None,
-    impl: str | None = None,
 ) -> KernelResult:
-    """Walk the pair list cluster-by-cluster through the actual
-    DeferredUpdateCache / bitmap / SIMD machinery.
+    """Walk the pair list through the DeferredUpdateCache / bitmap /
+    SIMD machinery, one CPE partition at a time.
 
-    Slow (Python per cluster pair) — use small systems, or spread the
-    per-CPE partitions over real cores with ``backend="pool"`` (this is
-    the simulator's hottest Python loop and its partitions are fully
-    independent).  Merging is deterministic — copies, marks, counters,
-    energy partials, and trace events join in CPE-id order — so every
-    output is bit-identical between backends (test-enforced).  ``backend``
-    accepts a name, an `ExecutionBackend`, or None for
+    Each partition runs through the batched walk
+    (`repro.core.vectorized.walk_fidelity_partition_vectorized`); the
+    partitions are fully independent, so ``backend="pool"`` spreads
+    them over real cores.  Merging is deterministic — copies, marks,
+    counters, energy partials, and trace events join in CPE-id order —
+    so every output is bit-identical between backends (test-enforced).
+    ``backend`` accepts a name, an `ExecutionBackend`, or None for
     ``REPRO_BACKEND``-or-serial.
 
     Only the cached strategies (CACHE/VEC/MARK/RMA) are meaningful here;
     others fall back to `run_kernel`.  Returns the same counters the fast
     path derives from trace analysis, letting tests pin the two together.
-
-    ``impl`` selects the walk implementation (``"scalar"`` — the
-    reference loop — or ``"vectorized"``, the batched replay in
-    `repro.core.vectorized`; None resolves ``REPRO_KERNEL``-or-scalar).
-    Both produce identical results; only speed differs.
     """
-    from repro.core.vectorized import resolve_kernel_impl
+    from repro.core.vectorized import walk_fidelity_partition_vectorized
 
     backend = shared_backend(backend)
-    impl = resolve_kernel_impl(impl)
     if not (spec.write_cache and spec.use_cpes):
         return run_kernel(
             system, plist, nb_params, spec, params, tracer=tracer,
-            backend=backend, impl=impl,
+            backend=backend,
         )
     n_cpes = n_cpes or params.n_cpes
     work_list = plist.to_full() if spec.full_list else plist
@@ -811,7 +782,6 @@ def run_kernel_sequential(
                     params=params,
                     padded_slots=padded_slots,
                     traced=tracer.enabled,
-                    impl=impl,
                     **shared,
                 )
             )
@@ -819,7 +789,7 @@ def run_kernel_sequential(
         # coalesce them into one submission per worker when the backend
         # supports batched IPC (results stay in task order either way).
         mapper = getattr(backend, "map_batched", backend.map)
-        walks = mapper(_walk_fidelity, tasks)
+        walks = mapper(walk_fidelity_partition_vectorized, tasks)
 
     # ---- deterministic CPE-id-ordered merge --------------------------------
     copies = [w.copy for w in walks]
@@ -849,9 +819,7 @@ def run_kernel_sequential(
     # instrumentation: passing the live tracer here used to re-emit every
     # kernel span on top of the fidelity events above, so Chrome traces
     # showed each kernel twice.
-    fast = run_kernel(
-        system, plist, nb_params, spec, params, backend=backend, impl=impl
-    )
+    fast = run_kernel(system, plist, nb_params, spec, params, backend=backend)
     return KernelResult(
         name=spec.name + "(seq)",
         forces=forces,

@@ -44,7 +44,7 @@ from repro.core.fetch import ReadTraceStats, analyze_read_trace
 from repro.core.packing import Layout, PackedParticles
 from repro.hw.cache import AddressMap
 from repro.hw.params import ChipParams, DEFAULT_PARAMS
-from repro.md.forces import ShortRangeResult, compute_short_range
+from repro.md.forces import ShortRangeResult
 from repro.md.nonbonded import NonbondedParams
 from repro.md.pairlist import ClusterPairList
 from repro.md.system import ParticleSystem
@@ -208,34 +208,22 @@ class StepCache:
         plist: ClusterPairList,
         nb_params: NonbondedParams,
         dtype: type = np.float64,
-        impl: str | None = None,
     ) -> ShortRangeResult:
         """One functional force evaluation per (pair list, dtype, positions).
 
         The returned object is shared between callers; nothing in the
         kernel/driver paths mutates it (tests enforce bit-identity of a
-        shared vs. recomputed result).  ``impl`` picks the evaluation
-        implementation (`repro.core.vectorized.resolve_kernel_impl`);
-        both produce identical results, so the resolved name simply
-        joins the key — a scalar and a vectorized caller share entries
-        only when they resolve to the same impl, keeping cache hits
-        trivially impl-consistent.
+        shared vs. recomputed result).
         """
-        from repro.core.vectorized import (
-            compute_short_range_impl,
-            resolve_kernel_impl,
-        )
+        from repro.core.vectorized import compute_short_range_impl
 
-        impl = resolve_kernel_impl(impl)
-        key = ("sr", self._pin(plist), np.dtype(dtype).str, nb_params, impl)
+        key = ("sr", self._pin(plist), np.dtype(dtype).str, nb_params)
         fp = position_fingerprint(system.positions)
         hit = self._state.get(key)
         if hit is not None and hit[0] == fp:
             self.stats.sr_hits += 1
             return hit[1]
-        sr = compute_short_range_impl(
-            system, plist, nb_params, dtype=dtype, impl=impl
-        )
+        sr = compute_short_range_impl(system, plist, nb_params, dtype=dtype)
         self._state[key] = (fp, sr)
         self.stats.sr_evals += 1
         return sr
@@ -450,13 +438,12 @@ class NullStepCache:
     def invalidate(self) -> None:
         self.stats.invalidations += 1
 
-    def short_range(self, system, plist, nb_params, dtype=np.float64, impl=None):
+    def short_range(self, system, plist, nb_params, dtype=np.float64):
         from repro.core.vectorized import compute_short_range_impl
 
         self.stats.sr_evals += 1
         return compute_short_range_impl(
-            system, plist, nb_params, dtype=dtype, reuse_gathers=False,
-            impl=impl,
+            system, plist, nb_params, dtype=dtype, reuse_gathers=False
         )
 
     def packed(self, system, plist, layout, params=DEFAULT_PARAMS):

@@ -24,15 +24,16 @@ Bit-identity rests on a small set of float32 accumulation identities
 * one ``np.bincount`` over concatenated i/j indices equals two
   sequential ``np.add.at`` calls (per-bin scan order is preserved).
 
-Implementation selection: ``resolve_kernel_impl`` honours an explicit
-argument first, then the ``REPRO_KERNEL`` environment variable, and
-defaults to ``"scalar"`` — the reference stays the default; the fast
-path is opt-in (engine/CLI: ``kernel_impl`` / ``--kernel``).
+These are the only production paths: :func:`compute_short_range_impl`
+serves every per-step evaluation and
+:func:`walk_fidelity_partition_vectorized` every fidelity walk.  The
+scalar functions (`repro.md.forces.compute_short_range`,
+`repro.core.kernels._walk_fidelity_partition`) remain as the references
+the tests compare against.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +52,6 @@ from repro.md.forces import (
 from repro.md.nonbonded import (
     COULOMB_CONSTANT,
     NonbondedParams,
-    lj_shift_energy,
     pair_force_energy,
 )
 from repro.md.pairlist import CLUSTER_SIZE, ClusterPairList
@@ -59,27 +59,9 @@ from repro.md.system import ParticleSystem
 from repro.parallel.pool import as_input
 from repro.trace.events import CAT_COMPUTE, TraceEvent
 
-KERNEL_IMPLS = ("scalar", "vectorized")
-
-#: Key under which per-list tile panels memoise on the pair list; popped
+#: Key under which per-list lane panels memoise on the pair list; popped
 #: by ``ClusterPairList.invalidate`` alongside the gather memo.
 PANEL_CACHE_ATTR = "_panel_cache"
-
-
-def resolve_kernel_impl(impl: str | None = None) -> str:
-    """Resolve a kernel implementation name.
-
-    Explicit argument wins; otherwise the ``REPRO_KERNEL`` environment
-    variable; otherwise ``"scalar"`` (the bit-identity reference).
-    """
-    if impl is None:
-        impl = os.environ.get("REPRO_KERNEL", "").strip() or "scalar"
-    impl = str(impl).lower()
-    if impl not in KERNEL_IMPLS:
-        raise ValueError(
-            f"unknown kernel impl {impl!r}; expected one of {KERNEL_IMPLS}"
-        )
-    return impl
 
 
 def _simd_shuffles_per_pair() -> int:
@@ -211,82 +193,8 @@ def walk_fidelity_partition_vectorized(task):
 
 
 # ---------------------------------------------------------------------------
-# Per-step short-range evaluation with cached tile panels.
+# Per-step short-range evaluation with cached lane panels.
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class TilePanels:
-    """Step-invariant tile quantities of one pair list.
-
-    Everything here depends only on list topology and per-particle
-    constants (charges, types, molecule ids), never on positions — so it
-    is computed once per pair-list rebuild and reused every step until
-    ``ClusterPairList.invalidate`` drops it.
-    """
-
-    ci: np.ndarray  # (M,) int64 i-cluster of each pair
-    cj: np.ndarray  # (M,) int64 j-cluster of each pair
-    valid: np.ndarray  # (M, 4, 4) bool interaction mask
-    qq: np.ndarray  # (M, 4, 4) charge products, short-range dtype
-    c6: np.ndarray  # (M, 4, 4) LJ C6, short-range dtype
-    c12: np.ndarray  # (M, 4, 4) LJ C12, short-range dtype
-    scatter_idx: np.ndarray  # flat slot targets: [i-slots] (+ [j-slots] if half)
-
-
-def tile_panels(
-    system: ParticleSystem,
-    plist: ClusterPairList,
-    dtype: type = np.float64,
-    reuse: bool = True,
-) -> TilePanels:
-    """Build (or fetch memoised) step-invariant panels for ``plist``.
-
-    The panel arrays are produced by the exact expressions
-    `compute_short_range` evaluates per step, so a panel-fed evaluation
-    sees identical operands.  ``reuse=False`` (the step-reuse ablation)
-    rebuilds them on every call and stores nothing.
-    """
-    key = np.dtype(dtype).str
-    cache = plist.__dict__.setdefault(PANEL_CACHE_ATTR, {}) if reuse else None
-    if cache is not None and key in cache:
-        return cache[key]
-    ci = plist.pair_ci.astype(np.int64)
-    cj = plist.pair_cj.astype(np.int64)
-    slot_i, slot_j = tile_indices(ci, cj)
-    if reuse:
-        q = plist.gather_cached(system.charges, dtype=dtype)
-        types = plist.gather_cached(
-            system.topology.type_ids, fill=0, dtype=np.int64
-        )
-        mol = plist.gather_cached(
-            system.topology.mol_ids, fill=-1, dtype=np.int64
-        )
-    else:
-        q = plist.gather(system.charges).astype(dtype)
-        types = plist.gather(system.topology.type_ids, fill=0).astype(np.int64)
-        mol = plist.gather(system.topology.mol_ids, fill=-1).astype(np.int64)
-    valid = tile_validity(plist, ci, cj, slot_i, slot_j, mol)
-    qq = q[slot_i] * q[slot_j]
-    ti, tj = types[slot_i], types[slot_j]
-    c6_tab = system.topology.c6_table.astype(dtype)
-    c12_tab = system.topology.c12_table.astype(dtype)
-    flat_i = slot_i.reshape(-1)
-    flat_j = slot_j.reshape(-1)
-    panels = TilePanels(
-        ci=ci,
-        cj=cj,
-        valid=valid,
-        qq=qq,
-        c6=c6_tab[ti, tj],
-        c12=c12_tab[ti, tj],
-        scatter_idx=(
-            np.concatenate([flat_i, flat_j]) if plist.half else flat_i
-        ),
-    )
-    if cache is not None:
-        cache[key] = panels
-    return panels
 
 
 #: Prune radius margin (nm) beyond ``r_cut`` for the compacted lane
@@ -339,9 +247,9 @@ def lane_statics(
 ) -> LaneStatics:
     """Build (or fetch memoised) the flat valid-lane topology view.
 
-    The pair constants are the exact values the reference tile panels
-    carry — gathering to valid lanes before the product is elementwise,
-    so operands are bit-identical either way.
+    The pair constants are the exact values `compute_short_range`
+    gathers per tile — gathering to valid lanes before the product is
+    elementwise, so operands are bit-identical either way.
     """
     key = ("lanestatic", np.dtype(dtype).str)
     cache = plist.__dict__.setdefault(PANEL_CACHE_ATTR, {}) if reuse else None
@@ -617,7 +525,7 @@ def compact_panels(
 ) -> CompactPanels:
     """Build (or fetch memoised) pruned lane panels for ``plist``.
 
-    The memo lives next to the tile panels on the pair list (popped by
+    The memo lives next to the lane statics on the pair list (popped by
     ``invalidate``); the key includes dtype and the nonbonded
     parameters, so different cutoffs never share a lane set.  The
     positional scan runs columnwise over the cached valid-lane view —
@@ -737,7 +645,7 @@ def _drift2_max(
     return float(np.einsum("ij,ij->i", delta, delta).max())
 
 
-def compute_short_range_vectorized(
+def compute_short_range_impl(
     system: ParticleSystem,
     plist: ClusterPairList,
     params: NonbondedParams,
@@ -859,33 +767,4 @@ def compute_short_range_vectorized(
         energy=energy,
         n_pairs_in_cutoff=n_in_cutoff,
         virial=virial,
-    )
-
-
-def compute_short_range_impl(
-    system: ParticleSystem,
-    plist: ClusterPairList,
-    params: NonbondedParams,
-    dtype: type = np.float64,
-    chunk_pairs: int = 65536,
-    reuse_gathers: bool = True,
-    impl: str | None = None,
-) -> ShortRangeResult:
-    """Dispatch a short-range evaluation by implementation name."""
-    if resolve_kernel_impl(impl) == "vectorized":
-        return compute_short_range_vectorized(
-            system,
-            plist,
-            params,
-            dtype=dtype,
-            chunk_pairs=chunk_pairs,
-            reuse_gathers=reuse_gathers,
-        )
-    return compute_short_range(
-        system,
-        plist,
-        params,
-        dtype=dtype,
-        chunk_pairs=chunk_pairs,
-        reuse_gathers=reuse_gathers,
     )

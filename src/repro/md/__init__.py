@@ -49,7 +49,6 @@ from repro.md.pme import PmeParams, PmeSolver
 from repro.md.pressure import compute_pressure, ideal_gas_pressure
 from repro.md.reporter import EnergyReporter
 from repro.md.settle import SettleParameters, SettleSolver
-from repro.md.velocity_verlet import VelocityVerletIntegrator
 from repro.md.system import ParticleSystem
 from repro.md.topology import Angle, Bond, Constraint, Dihedral, Topology
 from repro.md.water import (
@@ -70,7 +69,6 @@ __all__ = [
     "PAPER_TABLE3_MDP",
     "SettleParameters",
     "SettleSolver",
-    "VelocityVerletIntegrator",
     "benchmark_case",
     "build_constraint_solver",
     "compute_pressure",

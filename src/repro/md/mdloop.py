@@ -71,11 +71,6 @@ class MdConfig:
     #: exact filter; the list is bit-identical either way.
     backend: str | None = None
     workers: int | None = None
-    #: Short-range kernel implementation: "scalar" (chunked reference)
-    #: or "vectorized" (panel-fed batch, `repro.core.vectorized`); None
-    #: resolves ``REPRO_KERNEL``-or-scalar.  Forces are bit-identical
-    #: either way.
-    kernel_impl: str | None = None
 
     def __post_init__(self) -> None:
         if self.use_pme and self.nonbonded.coulomb_mode != "ewald":
@@ -126,14 +121,6 @@ class MdLoop:
         self.pme = (
             PmeSolver(system.box, self.config.pme) if self.config.use_pme else None
         )
-        # Imported lazily: repro.core.engine imports this module, so a
-        # top-level import of repro.core.vectorized would be circular
-        # through the packages' __init__ re-exports.
-        from repro.core.vectorized import resolve_kernel_impl
-
-        #: Resolved once for the whole run; per-step dispatch is a string
-        #: compare, not an env lookup.
-        self.kernel_impl = resolve_kernel_impl(self.config.kernel_impl)
         self.pairlist: ClusterPairList | None = None
         self._potential = 0.0
         self._start_step = 0
@@ -159,6 +146,9 @@ class MdLoop:
 
     def compute_forces(self, timing: KernelTiming | None = None) -> tuple[np.ndarray, float]:
         """All forces and the total potential at the current positions."""
+        # Imported lazily: repro.core.engine imports this module, so a
+        # top-level import of repro.core.vectorized would be circular
+        # through the packages' __init__ re-exports.
         from repro.core.vectorized import compute_short_range_impl
 
         timing = timing if timing is not None else KernelTiming()
@@ -168,7 +158,6 @@ class MdLoop:
             self.system, self.pairlist, self.config.nonbonded,
             dtype=self.config.precision,
             reuse_gathers=self.config.step_reuse,
-            impl=self.kernel_impl,
         )
         self._add(timing, KERNEL_FORCE, time.perf_counter() - t0)
         forces = sr.forces

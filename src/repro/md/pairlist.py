@@ -141,7 +141,7 @@ class ClusterPairList:
         return out
 
     def invalidate(self) -> None:
-        """Drop memoised gathers and tile panels.  `StepCache.invalidate`
+        """Drop memoised gathers and lane panels.  `StepCache.invalidate`
         calls this for every pinned list, so the rebuild/restore
         invalidation rule of DESIGN.md §8 covers these memos too."""
         self.__dict__.pop("_gather_cache", None)

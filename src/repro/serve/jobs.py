@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -58,6 +60,22 @@ def _spec_names() -> tuple[str, ...]:
 
 class InvalidRequestError(ValueError):
     """A request that can never execute (bad kind/spec/sizes)."""
+
+
+#: Request fields that must hold integers (bools excluded).
+_INT_FIELDS = ("n_particles", "steps", "level", "seed", "priority")
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value: object) -> bool:
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 @dataclass(frozen=True)
@@ -98,6 +116,18 @@ class JobRequest:
         if self.kind not in JOB_KINDS:
             raise InvalidRequestError(
                 f"unknown job kind {self.kind!r}; expected one of {JOB_KINDS}"
+            )
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise InvalidRequestError(f"{name} must be an integer: {value!r}")
+        if not _is_finite(self.r_cut):
+            raise InvalidRequestError(
+                f"r_cut must be a finite number: {self.r_cut!r}"
+            )
+        if self.timeout_s is not None and not _is_finite(self.timeout_s):
+            raise InvalidRequestError(
+                f"timeout_s must be a finite number when set: {self.timeout_s!r}"
             )
         if self.scenario is not None:
             # Concretization IS the validation: dependency/conflict

@@ -5,9 +5,9 @@ construction, cluster pair-list build, and `StepCache` priming — which
 BENCH_step.json shows is 5-7x the cost of one steady-state step.  This
 module keeps that state *resident* in the executing process across
 batches: a bounded LRU of :class:`ResidentEntry` objects keyed by
-``(system_key, execution-relevant config fingerprint)``.  A hit skips
-the build entirely; the warm `StepCache` then shares the functional
-short-range evaluation across the batch exactly as the cold path does.
+``JobRequest.system_key``.  A hit skips the build entirely; the warm
+`StepCache` then shares the functional short-range evaluation across
+the batch exactly as the cold path does.
 
 Bit-identity is the contract, residency only moves *when* state is
 built, never *what* is computed:
@@ -20,9 +20,6 @@ built, never *what* is computed:
   evaluation (tests/core/test_stepcache.py); the vectorized
   `CompactPanels` buffer pools memoise *on the resident pair list*
   (``PANEL_CACHE_ATTR``), so they ride along and are dropped with it.
-* the config fingerprint folds in `resolve_kernel_impl(None)`: if the
-  worker's ``REPRO_KERNEL`` resolution changes, the key changes, and
-  stale-impl state can never answer.
 
 Residency is kernel-kind only.  MD jobs thermalize and integrate —
 their positions *must* drift — so they execute cold, as before.
@@ -58,25 +55,6 @@ from repro.serve.jobs import (
 DEFAULT_RESIDENT_CAPACITY = 4
 
 
-def config_fingerprint() -> tuple:
-    """Execution-relevant configuration of *this* process.
-
-    Joins the residency key so entries built under one configuration
-    can never answer under another.  Currently the resolved kernel
-    implementation (explicit env ``REPRO_KERNEL`` or the scalar
-    default) — the one process-level knob that selects between
-    bit-identical evaluation paths but distinct cached buffer shapes.
-    """
-    from repro.core.vectorized import resolve_kernel_impl
-
-    return ("impl", resolve_kernel_impl(None))
-
-
-def resident_key(request: JobRequest) -> tuple:
-    """LRU key for ``request``: system identity x process config."""
-    return (request.system_key, config_fingerprint())
-
-
 @dataclass
 class ResidentEntry:
     """One warm system: everything a kernel batch needs, pre-built."""
@@ -110,7 +88,7 @@ class ResidentStats:
 
 
 class ResidentCache:
-    """Bounded LRU of :class:`ResidentEntry` keyed by :func:`resident_key`.
+    """Bounded LRU of :class:`ResidentEntry` keyed by ``system_key``.
 
     Invalidation rules (DESIGN.md §14):
 
@@ -148,7 +126,7 @@ class ResidentCache:
     # -- lookup ------------------------------------------------------------
     def get_or_build(self, request: JobRequest) -> ResidentEntry:
         """Warm entry for ``request``'s system, building on miss."""
-        key = resident_key(request)
+        key = request.system_key
         entry = self._entries.get(key)
         if entry is not None:
             if position_fingerprint(entry.system.positions) != entry.positions_fp:

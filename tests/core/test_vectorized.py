@@ -1,12 +1,12 @@
-"""Bit-identity of the vectorized kernels against the scalar reference.
+"""Bit-identity of the production kernels against the scalar references.
 
 The vectorized module replaces iteration structure, never arithmetic:
-every cell of the impl × backend × half/full × mark matrix must produce
-the same forces, energy, write-cache counters, shuffle counts, and
-trace events as the scalar fidelity walk — to the bit, not to a
-tolerance.  The per-step pruned-lane path is pinned the same way
-against `compute_short_range` across coulomb modes, dtypes, and
-drift-guard refreshes (ISSUE 8).
+every cell of the backend × half/full × mark matrix must produce the
+same forces, energy, write-cache counters, shuffle counts, and trace
+events as the scalar fidelity walk (`_walk_fidelity_partition`) — to
+the bit, not to a tolerance.  The per-step pruned-lane path is pinned
+the same way against `compute_short_range` across coulomb modes,
+dtypes, and drift-guard refreshes.
 """
 
 import warnings
@@ -17,18 +17,17 @@ import pytest
 from repro.core.kernels import ALL_SPECS, run_kernel, run_kernel_sequential
 from repro.core.stepcache import partition_clusters
 from repro.core.vectorized import (
-    KERNEL_IMPLS,
+    PANEL_CACHE_ATTR,
     _pair_terms_compact,
     compact_panels,
     compute_short_range_impl,
-    compute_short_range_vectorized,
-    resolve_kernel_impl,
 )
 from repro.md.forces import compute_short_range
 from repro.md.nonbonded import NonbondedParams, pair_force_energy
 from repro.md.pairlist import build_pair_list
 from repro.md.water import build_water_system
 from repro.trace.events import Tracer
+from tests.reference import reference_kernels
 
 COULOMB_MODES = ("rf", "cut", "none", "ewald")
 
@@ -59,29 +58,18 @@ def _same_counters(a, b):
         assert a.stats[key] == b.stats[key], key
 
 
-class TestResolveImpl:
-    def test_default_is_scalar(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert resolve_kernel_impl() == "scalar"
-
-    def test_env_opt_in(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "vectorized")
-        assert resolve_kernel_impl() == "vectorized"
-
-    def test_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "vectorized")
-        assert resolve_kernel_impl("scalar") == "scalar"
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel impl"):
-            resolve_kernel_impl("simd9000")
-
-    def test_impl_names_stable(self):
-        assert KERNEL_IMPLS == ("scalar", "vectorized")
+def _reference_sequential(system, plist, nb, spec, **kwargs):
+    """`run_kernel_sequential` with every partition walked by the scalar
+    `_walk_fidelity_partition` (serial, so no worker misses the patch)."""
+    with reference_kernels():
+        return run_kernel_sequential(
+            system, plist, nb, spec, backend="serial", **kwargs
+        )
 
 
 class TestWalkMatrix:
-    """Fidelity-walk matrix: vectorized vs scalar, every observable."""
+    """Fidelity-walk matrix: production vs scalar reference, every
+    observable."""
 
     @pytest.fixture(scope="class")
     def scalar_ref(self, water, nb):
@@ -90,9 +78,9 @@ class TestWalkMatrix:
             plist = build_pair_list(water, nb.r_list, half=half)
             for spec_name in ("MARK", "CACHE"):  # mark on / mark off
                 tracer = Tracer()
-                res = run_kernel_sequential(
+                res = _reference_sequential(
                     water, plist, nb, ALL_SPECS[spec_name],
-                    n_cpes=8, impl="scalar", tracer=tracer,
+                    n_cpes=8, tracer=tracer,
                 )
                 refs[half, spec_name] = (res, tracer.events, plist)
         return refs
@@ -105,7 +93,7 @@ class TestWalkMatrix:
         tracer = Tracer()
         res = run_kernel_sequential(
             water, plist, nb, ALL_SPECS[spec_name],
-            n_cpes=8, impl="vectorized", backend=backend, tracer=tracer,
+            n_cpes=8, backend=backend, tracer=tracer,
         )
         _same_result(ref, res)
         _same_counters(ref, res)
@@ -168,30 +156,27 @@ class TestEmptyPartitions:
         assert sum(1 for lo, hi in parts if lo == hi) > 0
         assert parts[-1][1] == plist.n_clusters
 
-    @pytest.mark.parametrize("impl", KERNEL_IMPLS)
-    def test_walks_match_reference(self, tiny, impl):
+    @pytest.mark.parametrize("walk", ["scalar", "vectorized"])
+    def test_walks_match_reference(self, tiny, walk):
         system, nb, plist = tiny
         ref = compute_short_range(system, plist, nb, dtype=np.float32)
-        res = run_kernel_sequential(
-            system, plist, nb, ALL_SPECS["MARK"], n_cpes=64, impl=impl
+        sequential = (
+            _reference_sequential if walk == "scalar" else run_kernel_sequential
         )
+        res = sequential(system, plist, nb, ALL_SPECS["MARK"], n_cpes=64)
         np.testing.assert_allclose(res.forces, ref.forces, atol=5e-4)
         assert np.isfinite(res.energy)
 
     def test_impls_bit_identical(self, tiny):
         system, nb, plist = tiny
-        a = run_kernel_sequential(
-            system, plist, nb, ALL_SPECS["MARK"], n_cpes=64, impl="scalar"
-        )
-        b = run_kernel_sequential(
-            system, plist, nb, ALL_SPECS["MARK"], n_cpes=64, impl="vectorized"
-        )
+        a = _reference_sequential(system, plist, nb, ALL_SPECS["MARK"], n_cpes=64)
+        b = run_kernel_sequential(system, plist, nb, ALL_SPECS["MARK"], n_cpes=64)
         _same_result(a, b)
         _same_counters(a, b)
 
 
 class TestPerStepPath:
-    """`compute_short_range_vectorized` vs the chunked reference."""
+    """`compute_short_range_impl` vs the chunked reference."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("half", [True, False])
@@ -203,9 +188,7 @@ class TestPerStepPath:
         plist = build_pair_list(system, params.r_list, half=half)
         for it in range(4):
             ref = compute_short_range(system, plist, params, dtype=dtype)
-            res = compute_short_range_vectorized(
-                system, plist, params, dtype=dtype
-            )
+            res = compute_short_range_impl(system, plist, params, dtype=dtype)
             assert np.array_equal(ref.forces, res.forces), (mode, half, it)
             assert ref.energy == res.energy
             assert ref.virial == res.virial
@@ -216,15 +199,20 @@ class TestPerStepPath:
             system.positions += rng.normal(0, scale, system.positions.shape)
 
     def test_dispatcher_routes_both_impls(self, water, nb):
-        plist = build_pair_list(water, nb.r_list)
-        a = compute_short_range_impl(
-            water, plist, nb, dtype=np.float32, impl="scalar"
-        )
-        b = compute_short_range_impl(
-            water, plist, nb, dtype=np.float32, impl="vectorized"
-        )
-        assert np.array_equal(a.forces, b.forces)
-        assert a.energy == b.energy
+        # Lists above ``chunk_pairs`` take the chunked reference, the
+        # rest the pruned-lane path; both match the reference bitwise.
+        for chunk_pairs in (65536, 64):
+            plist = build_pair_list(water, nb.r_list)
+            ref = compute_short_range(
+                water, plist, nb, dtype=np.float32, chunk_pairs=chunk_pairs
+            )
+            res = compute_short_range_impl(
+                water, plist, nb, dtype=np.float32, chunk_pairs=chunk_pairs
+            )
+            pruned = PANEL_CACHE_ATTR in plist.__dict__
+            assert pruned == (plist.n_cluster_pairs <= chunk_pairs)
+            assert np.array_equal(ref.forces, res.forces)
+            assert ref.energy == res.energy
 
 
 class TestPairTermsCompact:
@@ -298,25 +286,25 @@ class TestMaskedLaneWarnings:
 
 
 class TestEngineParity:
-    """Whole-trajectory parity: the engine under both impls."""
+    """Whole-trajectory parity: the engine as shipped vs the engine with
+    the reference evaluation patched in."""
 
-    def test_positions_and_frames_identical(self):
+    @staticmethod
+    def _run():
         from repro.core.engine import EngineConfig, SWGromacsEngine
 
         nb = NonbondedParams(r_cut=0.8, r_list=0.9, coulomb_mode="rf")
-        results = {}
-        for impl in KERNEL_IMPLS:
-            system = build_water_system(600, seed=2019)
-            engine = SWGromacsEngine(
-                system,
-                EngineConfig(
-                    nonbonded=nb, step_reuse=True, kernel_impl=impl,
-                    report_interval=3,
-                ),
-            )
-            res = engine.run(12)
-            results[impl] = (system.positions.copy(), res.reporter.frames)
-        pos_s, frames_s = results["scalar"]
-        pos_v, frames_v = results["vectorized"]
+        system = build_water_system(600, seed=2019)
+        engine = SWGromacsEngine(
+            system,
+            EngineConfig(nonbonded=nb, step_reuse=True, report_interval=3),
+        )
+        res = engine.run(12)
+        return system.positions.copy(), res.reporter.frames
+
+    def test_positions_and_frames_identical(self):
+        with reference_kernels():
+            pos_s, frames_s = self._run()
+        pos_v, frames_v = self._run()
         assert np.array_equal(pos_s, pos_v)
         assert frames_s == frames_v

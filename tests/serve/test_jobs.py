@@ -86,6 +86,18 @@ class TestValidation:
             {"kind": "md", "level": 9},
             {"r_cut": 0.0},
             {"timeout_s": -1.0},
+            {"r_cut": float("nan")},
+            {"r_cut": float("inf")},
+            {"r_cut": "0.9"},
+            {"timeout_s": float("nan")},
+            {"timeout_s": float("inf")},
+            {"n_particles": "900"},
+            {"n_particles": 900.0},
+            {"kind": "md", "steps": 2.5},
+            {"kind": "md", "level": 1.5},
+            {"seed": "7"},
+            {"seed": True},
+            {"priority": "high"},
         ],
     )
     def test_invalid_requests_raise(self, bad):

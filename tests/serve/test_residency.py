@@ -2,12 +2,12 @@
 
 The contract under test: residency moves *when* simulation state is
 built, never *what* is computed.  Every payload served off a warm
-`ResidentSim` entry must be bit-identical to a cold build — across
-kernel implementations, across backends, across LRU eviction, drift
-invalidation, and lane crashes.  On top of that sit the serving
-behaviours: affinity routing gives repeat systems the same lane, the
-``warmup`` op pre-builds residency, and the ``stats`` op reports
-occupancy and hit rate.
+`ResidentSim` entry must be bit-identical to a cold build — under the
+production and the reference evaluation, across backends, across LRU
+eviction, drift invalidation, and lane crashes.  On top of that sit the
+serving behaviours: affinity routing gives repeat systems the same
+lane, the ``warmup`` op pre-builds residency, and the ``stats`` op
+reports occupancy and hit rate.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.parallel.pool import PoolBackend, SerialBackend, WorkerCrashError
+from repro.parallel.pool import PoolBackend, WorkerCrashError
 from repro.serve.jobs import JobRequest, execute_batch, execute_request
 from repro.serve.residency import (
     ResidentBatchTask,
@@ -26,10 +26,10 @@ from repro.serve.residency import (
     execute_batch_resident,
     execute_batch_with,
     lane_for_system,
-    resident_key,
     warmup_job,
 )
 from repro.serve.service import ServeConfig, SimulationService
+from tests.reference import reference_kernels
 
 FAST = dict(n_particles=300, r_cut=0.45)
 
@@ -74,8 +74,8 @@ class TestResidentCache:
         assert len(cache) == 2
         assert cache.stats.evictions == 1
         keys = cache.keys()
-        assert resident_key(req(seed=2)) not in keys
-        assert resident_key(req(seed=1)) in keys
+        assert req(seed=2).system_key not in keys
+        assert req(seed=1).system_key in keys
         # The evicted system rebuilds (a miss, never an error).
         cache.get_or_build(req(seed=2))
         assert cache.stats.builds == 4
@@ -98,7 +98,7 @@ class TestResidentCache:
             cache.get_or_build(req(seed=seed))
         cache.set_capacity(1)
         assert len(cache) == 1
-        assert cache.keys() == [resident_key(req(seed=3))]  # newest survives
+        assert cache.keys() == [req(seed=3).system_key]  # newest survives
 
     def test_invalidate_all(self):
         cache = ResidentCache(capacity=4)
@@ -110,13 +110,6 @@ class TestResidentCache:
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
             ResidentCache(capacity=0)
-
-    def test_key_tracks_kernel_impl(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        scalar_key = resident_key(req(seed=1))
-        monkeypatch.setenv("REPRO_KERNEL", "vectorized")
-        vector_key = resident_key(req(seed=1))
-        assert scalar_key != vector_key  # stale-impl state can never answer
 
 
 # ---------------------------------------------------------------------------
@@ -137,17 +130,24 @@ class TestLaneRouting:
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity: serial vs resident, across kernel_impl x backend
+# Bit-identity: serial vs resident, across evaluation x backend
 # ---------------------------------------------------------------------------
 
 
 class TestBitIdentityMatrix:
     @pytest.mark.parametrize("impl", ["scalar", "vectorized"])
     @pytest.mark.parametrize("backend_kind", ["serial", "pool"])
-    def test_resident_payloads_equal_cold(
-        self, impl, backend_kind, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_KERNEL", impl)
+    def test_resident_payloads_equal_cold(self, impl, backend_kind):
+        # "scalar" runs everything with the reference evaluation patched
+        # in; "vectorized" runs the production path as shipped.
+        if impl == "scalar":
+            with reference_kernels():
+                self._resident_payloads_equal_cold(backend_kind)
+        else:
+            self._resident_payloads_equal_cold(backend_kind)
+
+    @staticmethod
+    def _resident_payloads_equal_cold(backend_kind):
         requests = tuple(
             req(seed=1, spec=spec) for spec in ("MARK", "CACHE", "VEC")
         )
@@ -167,7 +167,7 @@ class TestBitIdentityMatrix:
             config = ServeConfig(max_depth=8, backend="serial", dedup=False)
             payloads = run(scenario(config))
         else:
-            backend = PoolBackend(2)  # forked after setenv: workers see impl
+            backend = PoolBackend(2)  # forked here: workers see any patch
             try:
                 config = ServeConfig(max_depth=8, backend=backend, dedup=False)
                 payloads = run(scenario(config))

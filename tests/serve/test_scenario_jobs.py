@@ -5,6 +5,7 @@ residency, and fleet routing."""
 import numpy as np
 import pytest
 
+from repro.scenarios.spec import UnknownVariantError, concretize_text
 from repro.serve.batcher import Batch
 from repro.serve.jobs import (
     InvalidRequestError,
@@ -13,6 +14,7 @@ from repro.serve.jobs import (
     execute_kernel_request,
     execute_md_request,
 )
+from repro.serve.queue import REASON_INVALID, JobQueue
 
 
 class TestCanonicalization:
@@ -110,6 +112,17 @@ class TestAdmission:
         JobRequest(kind="kernel",
                    scenario="water@spce n=1500 ensemble=nvt elec=rf"
                    ).validate()
+
+    def test_kernel_variant_rejected(self):
+        # The kernel path is not a run option: the old variant spelling
+        # is an unknown variant, rejected at admission.
+        with pytest.raises(UnknownVariantError, match="kernel"):
+            concretize_text("water kernel=vectorized")
+        decision = JobQueue(max_depth=2).admit(
+            JobRequest(kind="kernel", scenario="water kernel=vectorized")
+        )
+        assert not decision.accepted
+        assert decision.error.code == REASON_INVALID
 
     def test_legacy_validation_unchanged(self):
         with pytest.raises(InvalidRequestError, match="kernel spec"):
