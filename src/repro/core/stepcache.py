@@ -29,7 +29,11 @@ Invalidation rules (enforced by the owners, tested in
 * position-keyed entries store only the *latest* fingerprint per
   (pair list, dtype) so a long MD run cannot grow the cache;
 * topology-keyed entries die with their pair-list object (the cache
-  holds the only strong reference and drops it on invalidate).
+  holds the only strong reference and drops it on invalidate);
+* invalidate also invalidates every pinned list, which releases its
+  lane-panel buffers to the recycling pool for the next list's anchor
+  (`repro.core.vectorized.PANEL_POOL`), so a rebuild refills buffers
+  instead of reallocating them.
 """
 
 from __future__ import annotations
@@ -179,7 +183,7 @@ class StepCache:
     def invalidate(self) -> None:
         """Drop everything (pair-list rebuild or checkpoint restore)."""
         for plist in self._plists.values():
-            plist.invalidate()  # the list's own gather memo dies with us
+            plist.invalidate()  # its memos die with us; panels are recycled
         self._plists.clear()
         self._topo.clear()
         self._state.clear()

@@ -34,6 +34,7 @@ the tests compare against.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,24 +44,24 @@ from repro.core.deferred import replay_write_trace
 from repro.core.packing import package_views
 from repro.core.shuffle import transpose_4x3
 from repro.hw.simd import FloatV4, LANES, OpCounter
-from repro.md.forces import (
-    ShortRangeResult,
-    compute_short_range,
-    tile_indices,
-    tile_validity,
-)
+from repro.md.forces import ShortRangeResult, compute_short_range
 from repro.md.nonbonded import (
     COULOMB_CONSTANT,
     NonbondedParams,
     pair_force_energy,
 )
-from repro.md.pairlist import CLUSTER_SIZE, ClusterPairList
+from repro.md.pairlist import (
+    CLUSTER_SIZE,
+    ClusterPairList,
+    lane_tables,
+    take_lanes,
+)
 from repro.md.system import ParticleSystem
 from repro.parallel.pool import as_input
 from repro.trace.events import CAT_COMPUTE, TraceEvent
 
-#: Key under which per-list lane panels memoise on the pair list; popped
-#: by ``ClusterPairList.invalidate`` alongside the gather memo.
+#: Key under which a list's `PanelCache` memoises on the pair list;
+#: ``ClusterPairList.invalidate`` pops it and releases its buffers.
 PANEL_CACHE_ATTR = "_panel_cache"
 
 
@@ -210,131 +211,36 @@ PRUNE_MARGIN = 0.20
 
 
 @dataclass
-class LaneStatics:
-    """Topology-only flat lane view of one pair list (cached).
-
-    One entry per *topology-valid* tile lane, flattened: slot indices,
-    pair constants and the lane's position inside the full ``(M, 4, 4)``
-    tile block (for scattering back into full-lane-shape accumulators).
-    Nothing here depends on positions, so the drift-guard refresh reuses
-    it wholesale and only redoes the positional scan.  The trailing
-    arrays are refresh scratch, sized to the valid-lane count so a
-    re-anchor allocates nothing large.
-    """
-
-    lane_pos: np.ndarray  # (V,) flat full-lane index of each valid lane
-    vi: np.ndarray  # (V,) i-slot of each valid lane
-    vj: np.ndarray  # (V,) j-slot
-    qq: np.ndarray  # (V,) charge products, short-range dtype
-    c6: np.ndarray
-    c12: np.ndarray
-    n_lanes: int  # full lane count, M * 16
-    gx: np.ndarray = field(repr=False, default=None)
-    gy: np.ndarray = field(repr=False, default=None)
-    gz: np.ndarray = field(repr=False, default=None)
-    gt: np.ndarray = field(repr=False, default=None)
-    sx: np.ndarray = field(repr=False, default=None)
-    sy: np.ndarray = field(repr=False, default=None)
-    sz: np.ndarray = field(repr=False, default=None)
-    r2: np.ndarray = field(repr=False, default=None)
-
-
-def lane_statics(
-    system: ParticleSystem,
-    plist: ClusterPairList,
-    dtype: type = np.float64,
-    reuse: bool = True,
-) -> LaneStatics:
-    """Build (or fetch memoised) the flat valid-lane topology view.
-
-    The pair constants are the exact values `compute_short_range`
-    gathers per tile — gathering to valid lanes before the product is
-    elementwise, so operands are bit-identical either way.
-    """
-    key = ("lanestatic", np.dtype(dtype).str)
-    cache = plist.__dict__.setdefault(PANEL_CACHE_ATTR, {}) if reuse else None
-    if cache is not None and key in cache:
-        return cache[key]
-    ci = plist.pair_ci.astype(np.int64)
-    cj = plist.pair_cj.astype(np.int64)
-    slot_i, slot_j = tile_indices(ci, cj)
-    if reuse:
-        q = plist.gather_cached(system.charges, dtype=dtype)
-        types = plist.gather_cached(
-            system.topology.type_ids, fill=0, dtype=np.int64
-        )
-        mol = plist.gather_cached(
-            system.topology.mol_ids, fill=-1, dtype=np.int64
-        )
-    else:
-        q = plist.gather(system.charges).astype(dtype)
-        types = plist.gather(system.topology.type_ids, fill=0).astype(np.int64)
-        mol = plist.gather(system.topology.mol_ids, fill=-1).astype(np.int64)
-    valid = tile_validity(plist, ci, cj, slot_i, slot_j, mol)
-    lane_pos = np.flatnonzero(valid.reshape(-1))
-    vi = np.ascontiguousarray(slot_i.reshape(-1)[lane_pos])
-    vj = np.ascontiguousarray(slot_j.reshape(-1)[lane_pos])
-    ti, tj = types[vi], types[vj]
-    c6_tab = system.topology.c6_table.astype(dtype)
-    c12_tab = system.topology.c12_table.astype(dtype)
-    n_valid = len(lane_pos)
-    ls = LaneStatics(
-        lane_pos=lane_pos,
-        vi=vi,
-        vj=vj,
-        qq=q[vi] * q[vj],
-        c6=c6_tab[ti, tj],
-        c12=c12_tab[ti, tj],
-        n_lanes=valid.size,
-        gx=np.empty(n_valid, dtype=dtype),
-        gy=np.empty(n_valid, dtype=dtype),
-        gz=np.empty(n_valid, dtype=dtype),
-        gt=np.empty(n_valid, dtype=dtype),
-        sx=np.empty(n_valid, dtype=dtype),
-        sy=np.empty(n_valid, dtype=dtype),
-        sz=np.empty(n_valid, dtype=dtype),
-        r2=np.empty(n_valid, dtype=dtype),
-    )
-    if cache is not None:
-        cache[key] = ls
-    return ls
-
-
-@dataclass
 class CompactPanels:
     """Flattened, pruned lane data for the per-step fast path.
 
-    Built once per pair-list rebuild (or after a drift-guard refresh):
-    lanes are the tile entries that are topology-valid *and* within
-    ``r_keep = r_cut + PRUNE_MARGIN`` of each other at
+    Anchored once per pair-list rebuild (and again after a drift-guard
+    refresh): lanes are the tile entries that are topology-valid *and*
+    within ``r_keep = r_cut + PRUNE_MARGIN`` of each other at
     ``anchor_pos``.  A pruned lane can only contribute an exact zero in
     the reference evaluation, so dropping it never changes a sum (the
     one invisible exception: a slot whose every contribution is a
     signed zero may flip zero sign, which ``==``/``np.array_equal``
     cannot observe and the integrator cannot propagate).
 
-    ``shift_x/y/z`` hold ``box * round(dr/box)`` per kept lane when the
+    ``shifts`` hold ``box * round(dr/box)`` per kept lane when the
     static-shift precondition holds (``2*r_keep - r_cut`` under half
     the smallest box edge): while the drift guard passes, no kept
     lane's minimum image can reach half a box edge, so the rounding in
     the reference PBC fold is reproduced exactly by the stored shift.
     """
 
-    #: Capacity-padded buffer pool: every kept-lane array lives in
-    #: ``bufs`` at capacity ``cap`` and is consumed as a ``[:n_kept]``
-    #: view, so a drift-guard re-anchor refills in place (a few
-    #: ``np.take`` passes) instead of reallocating ~25 multi-MB arrays —
-    #: large numpy frees go straight back to the OS, so reallocation
-    #: costs a page-fault storm every refresh.
+    #: Capacity-padded buffer set (see :func:`_fit_bufs`): every array
+    #: is consumed as a ``[:n]`` view, so a drift-guard re-anchor and
+    #: the next list's anchor (via :data:`PANEL_POOL`) refill in place
+    #: instead of reallocating ~30 multi-MB arrays — large numpy frees
+    #: go straight back to the OS, so reallocation costs a page-fault
+    #: storm every rebuild.
     bufs: dict = field(repr=False)
-    cap: int
     n_kept: int
-    e_full: np.ndarray = field(repr=False)
-    w_full: np.ndarray = field(repr=False)
-    f_sorted: np.ndarray = field(repr=False)
-    anchor_pos: np.ndarray = field(repr=False)
-    r_keep: float
     n_lanes: int
+    n_slots: int
+    r_keep: float
     half: bool
     static_shift: bool
     has_shift_e: bool
@@ -374,6 +280,28 @@ class CompactPanels:
     def shift_e(self) -> np.ndarray | None:
         return self.bufs["se"][: self.n_kept] if self.has_shift_e else None
 
+    @property
+    def shifts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        if not self.static_shift:
+            return None
+        return tuple(self.bufs[s][: self.n_kept] for s in ("sx", "sy", "sz"))
+
+    @property
+    def e_full(self) -> np.ndarray:
+        return self.bufs["e_full"][: self.n_lanes]
+
+    @property
+    def w_full(self) -> np.ndarray:
+        return self.bufs["w_full"][: self.n_lanes]
+
+    @property
+    def f_sorted(self) -> np.ndarray:
+        return self.bufs["f_sorted"][: self.n_slots]
+
+    @property
+    def anchor_pos(self) -> np.ndarray:
+        return self.bufs["anchor"][: self.n_slots]
+
 
 _COMPACT_DTYPE_BUFS = (
     "qq",
@@ -395,11 +323,13 @@ _COMPACT_DTYPE_BUFS = (
 )
 
 
-def _alloc_compact_bufs(half: bool, dtype, cap: int) -> dict:
+def _kept_bufs(half: bool, dtype, cap: int) -> dict:
+    """Per-kept-lane arrays: panels, pair-kernel scratch, scatter weights."""
     nw = 2 * cap if half else cap
     bufs = {
         "sidx": np.empty(2 * cap, dtype=np.int64),
         "lane_sel": np.empty(cap, dtype=np.int64),
+        "ib": [np.empty(cap, dtype=np.int64) for _ in range(2)],
         "wtmp": np.empty(cap, dtype=np.float64),
         "wb": [np.empty(nw, dtype=np.float64) for _ in range(3)],
         "tb": [np.empty(cap, dtype=dtype) for _ in range(10)],
@@ -410,90 +340,281 @@ def _alloc_compact_bufs(half: bool, dtype, cap: int) -> dict:
     return bufs
 
 
-def _refill_compact(
-    prev: CompactPanels | None,
+def _lane_bufs(half: bool, dtype, cap: int) -> dict:
+    """Per-tile-lane arrays: the anchor scan and the reduction panels."""
+    return {
+        "e_full": np.empty(cap, dtype=dtype),
+        "w_full": np.empty(cap, dtype=np.float64),
+        "ld": [np.empty(cap, dtype=dtype) for _ in range(3)],
+        "lsh": [np.empty(cap, dtype=dtype) for _ in range(3)],
+        "lr2": np.empty(cap, dtype=dtype),
+        "lmol": [np.empty(cap, dtype=np.int32) for _ in range(2)],
+        "valid": np.empty(cap, dtype=bool),
+        "keep": np.empty(cap, dtype=bool),
+    }
+
+
+def _slot_bufs(half: bool, dtype, cap: int) -> dict:
+    """Per-slot arrays: the force accumulator and the anchor positions."""
+    return {
+        "f_sorted": np.empty((cap, 3), dtype=np.float64),
+        "anchor": np.empty((cap, 3), dtype=dtype),
+    }
+
+
+_BUF_GROUPS = {"kept": _kept_bufs, "lanes": _lane_bufs, "slots": _slot_bufs}
+
+
+def _fit_bufs(bufs: dict, half: bool, dtype, **need: int) -> None:
+    """Grow the named buffer groups of ``bufs`` to hold ``need`` entries.
+
+    Each group carries its capacity under ``bufs["caps"]``; a group that
+    is too small is reallocated with some slack, so lists that grow a
+    little between rebuilds keep reusing the same buffers.
+    """
+    caps = bufs.setdefault("caps", {})
+    for group, n in need.items():
+        if caps.get(group, -1) < n:
+            cap = n + (n >> 4) + 1024
+            bufs.update(_BUF_GROUPS[group](half, dtype, cap))
+            caps[group] = cap
+
+
+class PanelPool:
+    """Released panel buffers, at most one set per ``(dtype, half)``.
+
+    Ownership invariant: a buffer set is either here or owned by exactly
+    one `CompactPanels`.  Only an explicit invalidation
+    (`PanelCache.release`) returns a set, never garbage collection, so
+    buffers of lists that are still live — the serve tier keeps several
+    resident — are never handed to another list.  Nothing returned to
+    callers is a view of these buffers.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._free: dict[tuple, dict] = {}
+
+    def take(self, key: tuple) -> dict:
+        with self._lock:
+            return self._free.pop(key, None) or {}
+
+    def release(self, key: tuple, bufs: dict) -> None:
+        """Keep the larger of ``bufs`` and the set already held."""
+        size = lambda b: sum(b.get("caps", {}).values())
+        with self._lock:
+            held = self._free.get(key)
+            if held is None or size(bufs) >= size(held):
+                self._free[key] = bufs
+
+    def clear(self) -> None:
+        with self._lock:
+            self._free.clear()
+
+
+#: Process-wide recycling pool shared by every pair list.
+PANEL_POOL = PanelPool()
+
+
+class PanelCache:
+    """One pair list's compact panels, keyed by ``(dtype, params)``.
+
+    Every evaluation of the list runs under :attr:`lock`; `release`
+    (what ``ClusterPairList.invalidate`` calls) takes it too, so a list
+    is never released mid-evaluation, and then hands each panel set's
+    buffers to :data:`PANEL_POOL`.
+    """
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.panels: dict[tuple, CompactPanels] = {}
+
+    def fetch(
+        self,
+        system: ParticleSystem,
+        plist: ClusterPairList,
+        params: NonbondedParams,
+        dtype: type,
+        pos: np.ndarray,
+    ) -> tuple[CompactPanels, bool]:
+        """Panels valid at ``pos`` and whether they were anchored now.
+
+        Anchors on a miss (buffers from :data:`PANEL_POOL`) and
+        re-anchors on the same buffers when a particle has moved far
+        enough that a pruned lane could re-enter the cutoff (or a
+        static shift could flip), so results stay exact for arbitrary
+        motion.  The caller holds :attr:`lock`.
+        """
+        key = (np.dtype(dtype).str, params)
+        cp = self.panels.get(key)
+        if cp is not None:
+            box_arr = plist.box.array.astype(dtype)
+            margin = cp.r_keep - params.r_cut
+            drift2 = _drift2_max(pos, cp.anchor_pos, box_arr)
+            if not 4.0 * drift2 > margin * margin:
+                return cp, False
+        refresh = cp is not None
+        bufs = cp.bufs if refresh else PANEL_POOL.take((key[0], plist.half))
+        cp = _anchor(
+            bufs, system, plist, params, dtype, pos, reuse=True, refresh=refresh
+        )
+        self.panels[key] = cp
+        return cp, True
+
+    def release(self) -> None:
+        with self.lock:
+            for (dtype_str, _), cp in self.panels.items():
+                PANEL_POOL.release((dtype_str, cp.half), cp.bufs)
+            self.panels.clear()
+
+
+def _panel_cache(plist: ClusterPairList) -> PanelCache:
+    cache = plist.__dict__.get(PANEL_CACHE_ATTR)
+    if cache is None:
+        cache = plist.__dict__.setdefault(PANEL_CACHE_ATTR, PanelCache())
+    return cache
+
+
+def _anchor(
+    bufs: dict,
     system: ParticleSystem,
     plist: ClusterPairList,
     params: NonbondedParams,
     dtype: type,
+    pos: np.ndarray,
     reuse: bool,
+    refresh: bool = False,
 ) -> CompactPanels:
-    """Anchor (or re-anchor) compact panels at the current positions.
+    """Anchor compact panels at ``pos`` (the list's current positions).
 
-    When ``prev`` has enough capacity its buffers are refilled in place
-    and the same object is returned; otherwise a fresh panel set is
-    allocated with some slack for future refreshes.
+    One pass over the tiles, each an ``(M, 16)`` row of lanes
+    ``4a + b`` filled by row takes from per-cluster lane tables
+    (`repro.md.pairlist.lane_tables`):
+    validity (real slots, molecule exclusion, the diagonal triangle —
+    `repro.md.forces.tile_validity`'s rules), the PBC-folded dx/dy/dz
+    and r2, then the kept lanes straight from that scan.  The
+    elementwise operations and their association match the reference
+    fold, and the kept lanes' d/r2 are left in the step buffers, so the
+    first evaluation at the anchor skips its own gather-and-fold.
+    ``bufs`` is refilled in place (grown where too small); a drift-guard
+    ``refresh`` re-anchors the same list on its own buffers, whose
+    validity mask is still current.
     """
     dt = np.dtype(dtype).type
-    ls = lane_statics(system, plist, dtype=dtype, reuse=reuse)
-    pos = plist.current_positions(system).astype(dtype)
-    pcols = np.ascontiguousarray(pos.T)
-    box_arr = plist.box.array.astype(dtype)
+    half = plist.half
+    ci = plist.pair_ci.astype(np.int64)
+    cj = plist.pair_cj.astype(np.int64)
+    n_lanes = len(ci) * CLUSTER_SIZE * CLUSTER_SIZE
+    n_slots = plist.n_slots
+    _fit_bufs(bufs, half, dtype, lanes=n_lanes, slots=n_slots)
+    if reuse:
+        q = plist.gather_cached(system.charges, dtype=dtype)
+        types = plist.gather_cached(
+            system.topology.type_ids, fill=0, dtype=np.int64
+        )
+        mol = plist.gather_cached(
+            system.topology.mol_ids, fill=-1, dtype=np.int64
+        )
+    else:
+        q = plist.gather(system.charges).astype(dtype)
+        types = plist.gather(system.topology.type_ids, fill=0).astype(np.int64)
+        mol = plist.gather(system.topology.mol_ids, fill=-1).astype(np.int64)
 
-    # Columnwise anchor scan: dr components, PBC shifts and r2 for every
-    # valid lane, written into the cached scratch (same elementwise ops
-    # as the reference fold, associated identically).
-    for c, (gc, sc) in enumerate(
-        zip((ls.gx, ls.gy, ls.gz), (ls.sx, ls.sy, ls.sz))
-    ):
-        np.take(pcols[c], ls.vi, out=gc, mode="clip")
-        np.take(pcols[c], ls.vj, out=ls.gt, mode="clip")
-        gc -= ls.gt
-        np.divide(gc, box_arr[c], out=ls.gt)
-        np.round(ls.gt, out=sc)
-        sc *= box_arr[c]
-        gc -= sc
-    r2 = ls.r2
-    np.multiply(ls.gx, ls.gx, out=r2)
-    np.multiply(ls.gy, ls.gy, out=ls.gt)
-    r2 += ls.gt
-    np.multiply(ls.gz, ls.gz, out=ls.gt)
-    r2 += ls.gt
+    def rows(arr):
+        return arr[:n_lanes].reshape(-1, CLUSTER_SIZE * CLUSTER_SIZE)
+
+    def take_tile(per_cluster, out_i, out_j):
+        rep, til = lane_tables(per_cluster.reshape(-1, CLUSTER_SIZE))
+        take_lanes(rep, ci, out_i)
+        take_lanes(til, cj, out_j)
+
+    valid, keep, tmp, r2 = (rows(bufs[k]) for k in ("valid", "keep", "e_full", "lr2"))
+    if not refresh:
+        take_tile(plist.real, valid, keep)
+        valid &= keep
+        mol_i, mol_j = (rows(a) for a in bufs["lmol"])
+        take_tile(mol.astype(np.int32), mol_i, mol_j)
+        np.not_equal(mol_i, mol_j, out=keep)
+        valid &= keep
+        diag = np.flatnonzero(ci == cj)
+        if len(diag):
+            a, b = np.divmod(np.arange(CLUSTER_SIZE * CLUSTER_SIZE), CLUSTER_SIZE)
+            valid[diag] &= a < b if half else a != b
+
+    box_arr = plist.box.array.astype(dtype)
+    cols = np.ascontiguousarray(pos.T)
+    d = [rows(a) for a in bufs["ld"]]
+    sh = [rows(a) for a in bufs["lsh"]]
+    for c in range(3):
+        take_tile(cols[c], d[c], tmp)
+        d[c] -= tmp
+        np.divide(d[c], box_arr[c], out=tmp)
+        np.round(tmp, out=sh[c])
+        sh[c] *= box_arr[c]
+        d[c] -= sh[c]
+    np.multiply(d[0], d[0], out=r2)
+    np.multiply(d[1], d[1], out=tmp)
+    r2 += tmp
+    np.multiply(d[2], d[2], out=tmp)
+    r2 += tmp
 
     r_keep = params.r_cut + PRUNE_MARGIN
-    sel = np.flatnonzero(r2 < dt(r_keep) ** 2)
+    np.less(r2, dt(r_keep) ** 2, out=keep)
+    keep &= valid
+    sel = np.flatnonzero(keep)
     k = len(sel)
+    _fit_bufs(bufs, half, dtype, kept=k)
+    b = bufs
 
     # Static PBC shifts are only safe when the worst-case kept-lane
     # separation (anchor distance < r_keep plus guarded drift
     # < r_keep - r_cut) stays under half the smallest box edge.
-    min_box = float(box_arr.min())
-    static_shift = 2.0 * r_keep - params.r_cut < 0.5 * min_box - 1e-9
+    static_shift = 2.0 * r_keep - params.r_cut < 0.5 * float(box_arr.min()) - 1e-9
+    cp = CompactPanels(
+        bufs=b,
+        n_kept=k,
+        n_lanes=n_lanes,
+        n_slots=n_slots,
+        r_keep=r_keep,
+        half=half,
+        static_shift=static_shift,
+        has_shift_e=params.shift_lj,
+    )
+    cp.e_full.fill(0.0)
+    cp.w_full.fill(0.0)
+    np.copyto(cp.anchor_pos, pos)
 
-    if prev is not None and prev.cap >= k and prev.n_lanes == ls.n_lanes:
-        cp = prev
-        cp.n_kept = k
-        cp.r_keep = r_keep
-        cp.e_full.fill(0.0)
-        cp.w_full.fill(0.0)
-        np.copyto(cp.anchor_pos, pos)
-    else:
-        cap = k + (k >> 4) + 1024
-        cp = CompactPanels(
-            bufs=_alloc_compact_bufs(plist.half, dtype, cap),
-            cap=cap,
-            n_kept=k,
-            e_full=np.zeros(ls.n_lanes, dtype=dtype),
-            w_full=np.zeros(ls.n_lanes, dtype=np.float64),
-            f_sorted=np.empty((plist.n_slots, 3), dtype=np.float64),
-            anchor_pos=pos.copy(),
-            r_keep=r_keep,
-            n_lanes=ls.n_lanes,
-            half=plist.half,
-            static_shift=static_shift,
-            has_shift_e=params.shift_lj,
-        )
-    cp.static_shift = static_shift
-    cp.has_shift_e = params.shift_lj
-    b = cp.bufs
+    def take(src, idx, out):
+        np.take(src, idx, out=out, mode="clip")
 
-    np.take(ls.lane_pos, sel, out=b["lane_sel"][:k])
-    np.take(ls.vi, sel, out=b["sidx"][:k])
-    np.take(ls.vj, sel, out=b["sidx"][k : 2 * k])
-    np.take(ls.qq, sel, out=b["qq"][:k])
-    np.take(ls.c6, sel, out=b["c6"][:k])
-    np.take(ls.c12, sel, out=b["c12"][:k])
-    qq, c6, c12 = b["qq"][:k], b["c6"][:k], b["c12"][:k]
+    # Lane 4a + b of tile m is flat index 16m + 4a + b: its slots are
+    # 4*ci[m] + a and 4*cj[m] + b.
+    lane_sel = b["lane_sel"][:k]
+    np.copyto(lane_sel, sel)
+    idx_i, idx_j = b["sidx"][:k], b["sidx"][k : 2 * k]
+    it, jt = (a[:k] for a in b["ib"])
+    np.right_shift(lane_sel, 4, out=it)
+    take(ci, it, idx_i)
+    take(cj, it, idx_j)
+    idx_i <<= 2
+    idx_j <<= 2
+    np.right_shift(lane_sel, 2, out=it)
+    it &= 3
+    idx_i += it
+    np.bitwise_and(lane_sel, 3, out=it)
+    idx_j += it
+
+    qq, c6, c12, t = b["qq"][:k], b["c6"][:k], b["c12"][:k], b["tb"][0][:k]
+    take(q, idx_i, qq)
+    take(q, idx_j, t)
+    qq *= t
+    n_types = system.topology.c6_table.shape[1]
+    take(types, idx_i, it)
+    it *= n_types
+    take(types, idx_j, jt)
+    it += jt
+    take(system.topology.c6_table.astype(dtype).reshape(-1), it, c6)
+    take(system.topology.c12_table.astype(dtype).reshape(-1), it, c12)
     # Step-invariant products hoisted out of the pair kernel (products
     # commute bit for bit with the reference's in-kernel order):
     # ``felec*qq``, ``6*c6``, ``12*c12`` and the LJ shift constant.
@@ -506,13 +627,14 @@ def _refill_compact(
         se = b["se"][:k]
         np.multiply(c12, inv6, out=se)
         se *= inv6
-        t = b["tb"][0][:k]
         np.multiply(c6, inv6, out=t)
         se -= t
+    for c, name in enumerate(("dx", "dy", "dz")):
+        take(d[c].reshape(-1), lane_sel, b[name][:k])
+    take(r2.reshape(-1), lane_sel, b["r2b"][:k])
     if static_shift:
-        np.take(ls.sx, sel, out=b["sx"][:k])
-        np.take(ls.sy, sel, out=b["sy"][:k])
-        np.take(ls.sz, sel, out=b["sz"][:k])
+        for c, name in enumerate(("sx", "sy", "sz")):
+            take(sh[c].reshape(-1), lane_sel, b[name][:k])
     return cp
 
 
@@ -523,23 +645,21 @@ def compact_panels(
     dtype: type = np.float64,
     reuse: bool = True,
 ) -> CompactPanels:
-    """Build (or fetch memoised) pruned lane panels for ``plist``.
+    """Pruned lane panels for ``plist`` at its current positions.
 
-    The memo lives next to the lane statics on the pair list (popped by
-    ``invalidate``); the key includes dtype and the nonbonded
-    parameters, so different cutoffs never share a lane set.  The
-    positional scan runs columnwise over the cached valid-lane view —
-    no ``(M, 4, 4, 3)`` broadcast — so a drift-guard re-anchor costs a
-    few streaming passes, not a full tile rebuild.
+    With ``reuse`` the panels memoise on the list (a `PanelCache`,
+    released by ``invalidate``) under ``(dtype, params)`` — different
+    cutoffs never share a lane set — and a fresh anchor draws its
+    buffers from :data:`PANEL_POOL`; memoised panels are re-anchored
+    when the drift guard trips.  Without ``reuse`` every call anchors
+    into freshly allocated buffers that nothing recycles.
     """
-    key = ("compact", np.dtype(dtype).str, params)
-    cache = plist.__dict__.setdefault(PANEL_CACHE_ATTR, {}) if reuse else None
-    if cache is not None and key in cache:
-        return cache[key]
-    cp = _refill_compact(None, system, plist, params, dtype, reuse)
-    if cache is not None:
-        cache[key] = cp
-    return cp
+    pos = plist.current_positions(system).astype(dtype)
+    if not reuse:
+        return _anchor({}, system, plist, params, dtype, pos, reuse=False)
+    cache = _panel_cache(plist)
+    with cache.lock:
+        return cache.fetch(system, plist, params, dtype, pos)[0]
 
 
 def _pair_terms_compact(
@@ -653,16 +773,15 @@ def compute_short_range_impl(
     chunk_pairs: int = 65536,
     reuse_gathers: bool = True,
 ) -> ShortRangeResult:
-    """Pruned-lane `compute_short_range` with memoised compact panels.
+    """Pruned-lane `compute_short_range` over memoised compact panels.
 
     Once per rebuild the 4x4 tiles are flattened to the lanes that are
-    topology-valid and within ``r_keep`` (:func:`compact_panels`); per
-    step only gathers, one PBC fold, ``r2``, the pair kernel and the
-    force scatter run — roughly ``0.4x`` the lanes and a third of the
-    numpy passes of the full tile batch.  A drift guard re-anchors the
-    panels whenever a particle has moved far enough that a pruned lane
-    could re-enter the cutoff (or a static shift could flip), so results
-    stay exact for arbitrary motion, not just small MD steps.
+    topology-valid and within ``r_keep`` (:func:`_anchor`); per step
+    only gathers, one PBC fold, ``r2``, the pair kernel and the force
+    scatter run — roughly ``0.4x`` the lanes and a third of the numpy
+    passes of the full tile batch.  A drift guard re-anchors the panels
+    whenever a particle has moved far enough that a pruned lane could
+    re-enter the cutoff (`PanelCache.fetch`).
 
     The force scatter uses one ``np.bincount`` per component over the
     concatenated i/j slot indices, which reproduces the reference's two
@@ -677,8 +796,7 @@ def compute_short_range_impl(
     chunk boundaries interleave the accumulation grouping, and no bench
     system comes close to ``chunk_pairs`` pairs.
     """
-    m_total = plist.n_cluster_pairs
-    if m_total > chunk_pairs:
+    if plist.n_cluster_pairs > chunk_pairs:
         return compute_short_range(
             system,
             plist,
@@ -687,61 +805,69 @@ def compute_short_range_impl(
             chunk_pairs=chunk_pairs,
             reuse_gathers=reuse_gathers,
         )
-    cp = compact_panels(system, plist, params, dtype=dtype, reuse=reuse_gathers)
     pos = plist.current_positions(system).astype(dtype)
-    box_arr = plist.box.array.astype(dtype)
+    if not reuse_gathers:
+        cp = _anchor({}, system, plist, params, dtype, pos, reuse=False)
+        return _evaluate(system, plist, params, cp, pos, anchored=True)
+    cache = _panel_cache(plist)
+    with cache.lock:
+        cp, anchored = cache.fetch(system, plist, params, dtype, pos)
+        return _evaluate(system, plist, params, cp, pos, anchored)
 
-    margin = cp.r_keep - params.r_cut
-    if 4.0 * _drift2_max(pos, cp.anchor_pos, box_arr) > margin * margin:
-        # A pruned lane may have drifted inside the cutoff (or a static
-        # shift may no longer round the same way): re-anchor the panels
-        # at the current positions.
-        # Refill in place: the capacity-padded buffers absorb the new
-        # lane set without reallocating (page-fault storms otherwise
-        # dominate the refresh cost).
-        cp = _refill_compact(cp, system, plist, params, dtype, reuse_gathers)
-        if reuse_gathers:
-            plist.__dict__.setdefault(PANEL_CACHE_ATTR, {})[
-                ("compact", np.dtype(dtype).str, params)
-            ] = cp
 
+def _evaluate(
+    system: ParticleSystem,
+    plist: ClusterPairList,
+    params: NonbondedParams,
+    cp: CompactPanels,
+    pos: np.ndarray,
+    anchored: bool,
+) -> ShortRangeResult:
+    """One evaluation over anchored panels at ``pos``.
+
+    ``anchored`` means the panels were anchored at ``pos`` this call, so
+    the kept lanes' d/r2 are already in the step buffers.
+    """
     k = cp.n_kept
     b = cp.bufs
-    idx_i = b["sidx"][:k]
-    idx_j = b["sidx"][k : 2 * k]
     lane_sel = b["lane_sel"][:k]
     dtmp = b["dtmp"][:k]
-    pcols = np.ascontiguousarray(pos.T)
     d = (b["dx"][:k], b["dy"][:k], b["dz"][:k])
-    shifts = (b["sx"][:k], b["sy"][:k], b["sz"][:k])
-    for c in range(3):
-        dc = d[c]
-        np.take(pcols[c], idx_i, out=dc, mode="clip")
-        np.take(pcols[c], idx_j, out=dtmp, mode="clip")
-        dc -= dtmp
-        if cp.static_shift:
-            dc -= shifts[c]
-        else:
-            np.divide(dc, box_arr[c], out=dtmp)
-            np.round(dtmp, out=dtmp)
-            dtmp *= box_arr[c]
-            dc -= dtmp
     r2 = b["r2b"][:k]
-    np.multiply(d[0], d[0], out=r2)
-    np.multiply(d[1], d[1], out=dtmp)
-    r2 += dtmp
-    np.multiply(d[2], d[2], out=dtmp)
-    r2 += dtmp
+    if not anchored:
+        box_arr = plist.box.array.astype(pos.dtype)
+        idx_i = b["sidx"][:k]
+        idx_j = b["sidx"][k : 2 * k]
+        pcols = np.ascontiguousarray(pos.T)
+        shifts = (b["sx"][:k], b["sy"][:k], b["sz"][:k])
+        for c in range(3):
+            dc = d[c]
+            np.take(pcols[c], idx_i, out=dc, mode="clip")
+            np.take(pcols[c], idx_j, out=dtmp, mode="clip")
+            dc -= dtmp
+            if cp.static_shift:
+                dc -= shifts[c]
+            else:
+                np.divide(dc, box_arr[c], out=dtmp)
+                np.round(dtmp, out=dtmp)
+                dtmp *= box_arr[c]
+                dc -= dtmp
+        np.multiply(d[0], d[0], out=r2)
+        np.multiply(d[1], d[1], out=dtmp)
+        r2 += dtmp
+        np.multiply(d[2], d[2], out=dtmp)
+        r2 += dtmp
 
     f_scalar, e = _pair_terms_compact(r2, cp, params)
     n_in_cutoff = int(np.count_nonzero(f_scalar))
-    cp.e_full[lane_sel] = e
-    energy = 0.0 + float(cp.e_full.sum(dtype=np.float64))
+    e_full, w_full = cp.e_full, cp.w_full
+    e_full[lane_sel] = e
+    energy = 0.0 + float(e_full.sum(dtype=np.float64))
     w = b["wtmp"][:k]
     w[...] = f_scalar
     w *= r2
-    cp.w_full[lane_sel] = w
-    virial = 0.0 + float(cp.w_full.sum())
+    w_full[lane_sel] = w
+    virial = 0.0 + float(w_full.sum())
 
     n_weights = 2 * k if plist.half else k
     scatter_idx = b["sidx"][:n_weights]

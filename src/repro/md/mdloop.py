@@ -181,12 +181,20 @@ class MdLoop:
 
     def _rebuild_pairlist(self, timing: KernelTiming, step: int = 0) -> None:
         t0 = time.perf_counter()
+        self._drop_pairlist()
         self.pairlist = build_pair_list(
             self.system, self.config.nonbonded.r_list, backend=self.backend
         )
         self._add(timing, KERNEL_NEIGHBOR, time.perf_counter() - t0)
         self._pairlist_rebuild_step = step
         self._pairlist_ref_positions = self.system.positions.copy()
+
+    def _drop_pairlist(self) -> None:
+        """Invalidate the current list (DESIGN.md §8): its lane panels'
+        buffers go back to the recycling pool for the next anchor."""
+        if self.pairlist is not None:
+            self.pairlist.invalidate()
+            self.pairlist = None
 
     def _rebuild_from_checkpoint(self, timing: KernelTiming) -> None:
         """Regenerate the mid-interval pair list after a restart:
@@ -239,7 +247,7 @@ class MdLoop:
         self._start_step = self._next_step = ckpt.step
         self._pairlist_rebuild_step = ckpt.pairlist_rebuild_step
         self._restart_ref_positions = ckpt.pairlist_ref_positions
-        self.pairlist = None
+        self._drop_pairlist()
         if ckpt.history is not None:
             self._restored_history = dict(ckpt.history)
         else:

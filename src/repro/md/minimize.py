@@ -79,8 +79,9 @@ def minimize(
             energy, forces = new_energy, new_forces
             step *= 1.2
         else:
+            # No rebuild for the restored positions: the next trial
+            # rebuilds before anything reads the list.
             system.positions = old_positions
-            loop._rebuild_pairlist(loop_timing)
             step *= 0.2
             if step < 1e-8:
                 break

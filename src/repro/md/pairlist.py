@@ -141,11 +141,19 @@ class ClusterPairList:
         return out
 
     def invalidate(self) -> None:
-        """Drop memoised gathers and lane panels.  `StepCache.invalidate`
-        calls this for every pinned list, so the rebuild/restore
-        invalidation rule of DESIGN.md §8 covers these memos too."""
+        """Drop memoised gathers and release the lane panels.
+
+        `StepCache.invalidate` calls this for every pinned list, so the
+        rebuild/restore invalidation rule of DESIGN.md §8 covers these
+        memos too.  The panels' buffers go back to the recycling pool
+        (`repro.core.vectorized.PanelCache.release`) for the next list's
+        anchor, so the owner must not evaluate this list concurrently
+        with, or expect its panels to survive, this call.
+        """
         self.__dict__.pop("_gather_cache", None)
-        self.__dict__.pop("_panel_cache", None)
+        panels = self.__dict__.pop("_panel_cache", None)
+        if panels is not None:
+            panels.release()
 
     def scatter_add(self, target: np.ndarray, sorted_values: np.ndarray) -> None:
         """Accumulate sorted-slot values back into original particle order."""
@@ -325,11 +333,32 @@ def build_pair_list(
     return plist if half else plist.to_full()
 
 
+def lane_tables(per_cluster: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cluster ``(C, 4)`` values spread over a tile's 16 lanes.
+
+    Lane ``4a + b`` of a tile pairs member ``a`` of cluster ``ci`` with
+    member ``b`` of ``cj``.  The first table repeats each member four
+    times, the second tiles the four members, so row takes by ``ci``
+    and ``cj`` (:func:`take_lanes`) fill ``(M, 16)`` blocks elementwise
+    equal to the ``(M, 4, 1)`` / ``(M, 1, 4)`` broadcasts at a fraction
+    of their cost: every row is one contiguous copy.
+    """
+    return (
+        np.repeat(per_cluster, CLUSTER_SIZE, axis=1),
+        np.tile(per_cluster, (1, CLUSTER_SIZE)),
+    )
+
+
+def take_lanes(table: np.ndarray, clusters: np.ndarray, out=None) -> np.ndarray:
+    """Rows ``clusters`` of a :func:`lane_tables` table (indices valid)."""
+    return np.take(table, clusters, axis=0, out=out, mode="clip")
+
+
 @dataclass
 class _ExactFilterTask:
     """One chunk of candidate cluster pairs for the exact distance filter."""
 
-    positions: object  # sorted slot positions (SharedArray under pool)
+    tables: object  # (3, 2, C, 16) coordinate lane tables (SharedArray under pool)
     box: np.ndarray
     ci: np.ndarray
     cj: np.ndarray
@@ -337,12 +366,26 @@ class _ExactFilterTask:
 
 
 def _exact_filter_job(task: _ExactFilterTask) -> np.ndarray:
-    """Boolean keep mask for one chunk (pure; runs in any process)."""
-    members = as_input(task.positions).reshape(-1, CLUSTER_SIZE, 3)
-    dr = members[task.ci, :, None, :] - members[task.cj, None, :, :]
-    dr -= task.box * np.round(dr / task.box)
-    r2 = np.sum(dr * dr, axis=-1)
-    return r2.min(axis=(1, 2)) < task.rlist * task.rlist
+    """Boolean keep mask for one chunk (pure; runs in any process).
+
+    Columnwise: one ``(B, 16)`` pass per component, with r2 summed as
+    ``x*x + y*y + z*z`` in that order — the same value ``np.sum`` over
+    a length-3 axis gives (DESIGN.md §13) — so the mask equals the
+    ``(B, 4, 4, 3)`` formulation bit for bit.
+    """
+    tables = as_input(task.tables)
+    r2 = None
+    for c in range(3):
+        rep, til = tables[c]
+        d = take_lanes(rep, task.ci)
+        d -= take_lanes(til, task.cj)
+        d -= task.box[c] * np.round(d / task.box[c])
+        d *= d
+        if r2 is None:
+            r2 = d
+        else:
+            r2 += d
+    return r2.min(axis=1) < task.rlist * task.rlist
 
 
 def _exact_cluster_filter(
@@ -361,20 +404,20 @@ def _exact_cluster_filter(
     ``backend`` and more than one chunk, chunks run on worker processes
     (same math, ordered concatenation — bit-identical output).  The
     serial path iterates in much smaller blocks (``serial_chunk``) so
-    the per-block 4x4x3 float64 panels stay cache-resident — a ~1.6x
-    wall-clock win over letting the temporaries spill to main memory;
-    the keep mask is elementwise per pair, so block size never changes
-    the result.
+    the per-block lane panels stay cache-resident; the keep mask is
+    elementwise per pair, so block size never changes the result.
     """
     box_arr = box.array
+    columns = np.ascontiguousarray(sorted_pos.T).reshape(3, -1, CLUSTER_SIZE)
+    tables = np.stack([lane_tables(col) for col in columns])
     if getattr(backend, "parallel", False) and len(ci) > chunk:
         bounds = range(0, len(ci), chunk)
-        with shared_inputs(backend, positions=sorted_pos) as shared:
+        with shared_inputs(backend, tables=tables) as shared:
             masks = backend.map(
                 _exact_filter_job,
                 [
                     _ExactFilterTask(
-                        positions=shared["positions"],
+                        tables=shared["tables"],
                         box=box_arr,
                         ci=ci[lo : lo + chunk],
                         cj=cj[lo : lo + chunk],
@@ -388,7 +431,7 @@ def _exact_cluster_filter(
     for lo in range(0, len(ci), serial_chunk):
         hi = min(len(ci), lo + serial_chunk)
         keep[lo:hi] = _exact_filter_job(
-            _ExactFilterTask(sorted_pos, box_arr, ci[lo:hi], cj[lo:hi], rlist)
+            _ExactFilterTask(tables, box_arr, ci[lo:hi], cj[lo:hi], rlist)
         )
     return keep
 

@@ -35,13 +35,18 @@ from repro.md.system import ParticleSystem
 from repro.md.topology import Constraint, Topology
 
 
-def _random_rotation(rng: np.random.Generator) -> np.ndarray:
-    """Uniform random rotation matrix (QR of a Gaussian matrix)."""
-    m = rng.normal(size=(3, 3))
+def _random_rotations(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` uniform random rotation matrices (QR of Gaussian matrices).
+
+    One ``rng.normal`` call and one stacked QR/det: the draws and every
+    matrix are byte-identical to ``n`` sequential single-matrix calls,
+    and the generator ends in the same state.
+    """
+    m = rng.normal(size=(n, 3, 3))
     q, r = np.linalg.qr(m)
-    q *= np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
+    q *= np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    flip = np.linalg.det(q) < 0
+    q[flip, :, 0] = -q[flip, :, 0]
     return q
 
 
@@ -90,8 +95,8 @@ def build_water_system(
     sites = sites + rng.uniform(-jitter, jitter, size=sites.shape) * spacing
 
     positions = np.empty((n_mol * 3, 3))
-    for m in range(n_mol):
-        rot = _random_rotation(rng)
+    rotations = _random_rotations(rng, n_mol)
+    for m, rot in enumerate(rotations):
         ids = topo.add_particles(
             ["OW", "HW", "HW"],
             [model.q_oxygen, model.q_hydrogen, model.q_hydrogen],
@@ -193,6 +198,9 @@ def build_ionic_solution(
 
     n_atoms = 3 * (n_sites - 2 * n_pairs) + 2 * n_pairs
     positions = np.empty((n_atoms, 3))
+    # Waters draw their rotations back to back (ions draw nothing), so
+    # one batched draw yields the same stream.
+    rotations = iter(_random_rotations(rng, n_sites - 2 * n_pairs))
     for s in range(n_sites):
         if s in na_sites:
             ids = topo.add_particles(["NA"], [ION_CHARGE_NA], mol_id=s)
@@ -201,9 +209,9 @@ def build_ionic_solution(
             ids = topo.add_particles(["CL"], [ION_CHARGE_CL], mol_id=s)
             positions[ids] = sites[s]
         else:
-            rot = _random_rotation(rng)
             _add_water_molecule(
-                topo, positions, sites[s], rot, offsets, model, mol_id=s
+                topo, positions, sites[s], next(rotations), offsets, model,
+                mol_id=s,
             )
 
     system = ParticleSystem(positions, Box.cubic(edge), topo)
@@ -258,8 +266,8 @@ def build_embedded_solute(
     positions = np.empty((n_atoms, 3))
     ids = topo.add_particles(["SOL"], [0.0], mol_id=0)
     positions[ids] = center
-    for m, s in enumerate(keep, start=1):
-        rot = _random_rotation(rng)
+    rotations = _random_rotations(rng, len(keep))
+    for m, (s, rot) in enumerate(zip(keep, rotations), start=1):
         _add_water_molecule(
             topo, positions, sites[s], rot, offsets, model, mol_id=m
         )

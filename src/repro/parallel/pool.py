@@ -372,14 +372,25 @@ class SerialBackend:
 
 def _worker_init() -> None:
     """Executed in every pool worker at startup: force nested backend
-    resolution to ``serial``.
+    resolution to ``serial`` and reset the resource tracker's lock.
 
     Jobs may run whole engines (multi-rank runs, benchmark fan-outs)
     whose internals resolve their own backend from the environment; in a
     worker that must come out serial, or every worker would spawn its
     own grand-child pool and oversubscribe the host.
+
+    A worker forked while another parent thread held the resource
+    tracker's lock (registering a shared-memory segment) inherits that
+    lock held by a thread that does not exist in the child; Python 3.11
+    has no after-fork reset for it, so the worker's first segment
+    attach (`ArenaHandle.pack` -> ``ensure_running``) would block
+    forever.  The worker is single-threaded here, so a fresh lock is
+    safe.
     """
     os.environ[BACKEND_ENV] = "serial"
+    from multiprocessing import resource_tracker
+
+    resource_tracker._resource_tracker._lock = threading.RLock()
 
 
 def _run_task_chunk(chunk: tuple) -> list:

@@ -18,8 +18,10 @@ built, never *what* is computed:
   lookup and invalidates instead of trusting it).
 * warm `StepCache` reuse is already proven bitwise identical to cold
   evaluation (tests/core/test_stepcache.py); the vectorized
-  `CompactPanels` buffer pools memoise *on the resident pair list*
-  (``PANEL_CACHE_ATTR``), so they ride along and are dropped with it.
+  `CompactPanels` memoise *on the resident pair list*
+  (``PANEL_CACHE_ATTR``), so they ride along, and an evicted entry's
+  `StepCache.invalidate` releases their buffers for the next cold
+  build's anchor (never while a resident list is still live).
 
 Residency is kernel-kind only.  MD jobs thermalize and integrate —
 their positions *must* drift — so they execute cold, as before.
@@ -98,7 +100,7 @@ class ResidentCache:
       rebuilds cold.  Residency can go *slow*, never *wrong*.
     * **LRU pressure** — exceeding ``capacity`` evicts the
       least-recently-used entry and invalidates its `StepCache` (which
-      also drops the pair list's panel/gather memos).
+      also drops the pair list's gather memo and recycles its panels).
     * **process death** — entries live in worker memory only; a lane
       crash discards the process and the next batch rebuilds cold
       (test-enforced in tests/serve/test_residency.py).

@@ -1,5 +1,6 @@
-"""Ionic-solution, embedded-solute, and LJ-mixture builders: charge
-neutrality, composition, constraint wiring, and energy sanity."""
+"""Water, ionic-solution, embedded-solute, and LJ-mixture builders:
+pinned output, charge neutrality, composition, constraint wiring, and
+energy sanity."""
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from repro.md.minimize import minimize
 from repro.md.forces import compute_short_range
 from repro.md.nonbonded import NonbondedParams
 from repro.md.pairlist import build_pair_list
+from repro.core.stepcache import position_fingerprint
 from repro.md.water import (
     build_embedded_solute,
     build_ionic_solution,
     build_lj_mixture,
+    build_water_system,
 )
 
 NB = NonbondedParams(r_cut=0.45, r_list=0.55, coulomb_mode="rf")
@@ -22,6 +25,37 @@ NB = NonbondedParams(r_cut=0.45, r_list=0.55, coulomb_mode="rf")
 def _energy(system):
     plist = build_pair_list(system, NB.r_list)
     return compute_short_range(system, plist, NB).energy
+
+
+class TestPinnedBuilds:
+    """Positions and velocities (which also pin where the generator
+    stream stood after the rotations) recorded before the rotations
+    were drawn in one batch."""
+
+    @pytest.mark.parametrize(
+        "builder, positions_fp, velocities_fp",
+        [
+            (
+                build_water_system,
+                "0b6ab54da354b03679b3000968dc1c9c",
+                "2d099a58827ca981d5618f267d15bbc2",
+            ),
+            (
+                build_ionic_solution,
+                "1fd8b4d737202a380b618bceea636321",
+                "1e7297d567a8cd1ce2280eb0a1c93c58",
+            ),
+            (
+                build_embedded_solute,
+                "e523132ccf37ef00ed52709ada9d03d6",
+                "1b022eceb713d72214d6ed4f1a790d18",
+            ),
+        ],
+    )
+    def test_fingerprints(self, builder, positions_fp, velocities_fp):
+        system = builder(900, seed=2019)
+        assert position_fingerprint(system.positions).hex() == positions_fp
+        assert position_fingerprint(system.velocities).hex() == velocities_fp
 
 
 class TestIonicSolution:

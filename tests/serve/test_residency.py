@@ -13,6 +13,8 @@ reports occupancy and hit rate.
 from __future__ import annotations
 
 import asyncio
+import threading
+from concurrent.futures import TimeoutError
 
 import numpy as np
 import pytest
@@ -235,6 +237,54 @@ class TestCrashEvictsResidency:
         assert first.ok and second.ok
         direct = execute_request(req(seed=5, spec="CACHE"))
         assert second.payload == direct
+
+
+class TestLaneForkUnderTrackerLock:
+    """Regression: a lane forked while another thread holds the
+    resource tracker's lock must still pack ``return_forces`` blocks
+    into an arena created after the fork (a warmup op forks the lane
+    before the first batch allocates its arena).  The lane used to
+    inherit the lock held and hang in ``ensure_running`` on that first
+    segment attach."""
+
+    def test_return_forces_batch_finishes(self):
+        from multiprocessing import resource_tracker
+
+        from repro.parallel.pool import ArenaHandle
+
+        tracker = resource_tracker._resource_tracker
+        backend = PoolBackend(1)
+        held, done = threading.Event(), threading.Event()
+
+        def hold_tracker_lock():
+            with tracker._lock:
+                held.set()
+                done.wait(30)
+
+        holder = threading.Thread(target=hold_tracker_lock)
+        holder.start()
+        held.wait(30)
+        try:
+            # The lane's process forks here, tracker lock held.
+            assert backend.run_on(0, abs, -1) == 1
+        finally:
+            done.set()
+            holder.join()
+        arena = ArenaHandle.allocate(1 << 20)
+        task = ResidentBatchTask(
+            requests=(req(seed=6, return_forces=True),), arena=arena
+        )
+        future = backend._ensure_lane(0).submit(execute_batch_resident, task)
+        try:
+            outcome = future.result(timeout=30)
+        except TimeoutError:
+            for proc in backend._lanes[0]._processes.values():
+                proc.kill()
+            pytest.fail("lane hung packing forces into its arena")
+        finally:
+            backend.close()
+            arena.unlink()
+        assert "forces_ref" in outcome.payloads[0]
 
 
 # ---------------------------------------------------------------------------
